@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Runs two sets of benchmark runs of one checkout and checks they agree.
 
-    python3 perfbench/compare.py [--runs 10]
+    python3 perfbench/compare.py [--runs 10] [--workload <name> ...]
 
 Run from the root of a retrace checkout. Each of the two sets runs
 every workload `--runs` times, each run with its own `--seed` (set 1
 uses seeds 1..runs, set 2 the next `runs` seeds), using the command
-and run length from BENCHMARK.json. For every workload and end-to-end
-metric it prints each set's median and quartiles, the spread (the
-distance between the quartiles as a share of the median) and whether
+and run length from BENCHMARK.json. The sets are interleaved (per
+workload: set 1 run i, then set 2 run i), so a slow phase of the host
+falls on both sets alike. For every workload and end-to-end metric it
+prints each set's median and quartiles, the spread (the distance
+between the quartiles as a share of the median) and whether
 
   - each set's spread is within the metric's bound (setup_s exempt),
-  - the second set's median is not worse than the first's by more than
-    the bound, in the metric's `better` direction,
+  - the two medians differ by at most the bound, in either direction
+    (the larger median over the smaller, minus 1),
   - the share of failed operations is the same in both sets.
 
 Raw results go to .bench_build/compare.json. Exits 1 if any check fails.
@@ -46,16 +48,18 @@ def quartiles(values):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("--workload", action="append",
+                        help="compare only this workload (repeatable; default: all)")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    workloads = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     results = {}  # workload -> [set 1 results, set 2 results]
-    for s in range(SETS):
-        for workload in workloads:
-            for i in range(args.runs):
+    for workload in workloads:
+        for i in range(args.runs):
+            for s in range(SETS):
                 seed = s * args.runs + i + 1
                 result = run_once(spec, workload, seed)
                 results.setdefault(workload, [[] for _ in range(SETS)])[s].append(result)
@@ -90,15 +94,13 @@ def main():
                 spread = (q3 - q1) / med if med else float("inf")
                 stats.append((med, q1, q3, spread))
             first, last = stats[0], stats[-1]
-            if metric["better"] == "lower":
-                drift = last[0] / first[0] - 1.0 if first[0] else float("inf")
-            else:
-                drift = first[0] / last[0] - 1.0 if last[0] else float("inf")
+            low, high = sorted((first[0], last[0]))
+            drift = high / low - 1.0 if low > 0 else float("inf")
             spread_ok = name == "setup_s" or all(st[3] <= bound for st in stats)
             verdict = spread_ok and drift <= bound
             ok = ok and verdict
             fmt = "%.5g [%.5g, %.5g] %.3f"
-            print("  %-18s %-34s %-34s %s (bound %.2f, worse by %+.3f)" % (
+            print("  %-18s %-34s %-34s %s (bound %.2f, medians apart by %.3f)" % (
                 name, fmt % first, fmt % last, "agree" if verdict else "DISAGREE", bound, drift))
     sys.exit(0 if ok else 1)
 

@@ -6,24 +6,27 @@
 Run from the root of a retrace checkout. The first call configures and
 builds `retrace_core` (with the repository's own CMake files) plus the
 `perfbench` program into `.bench_build/`; later calls only re-check the
-build. Build output goes to stderr, so the last line of stdout is the
-program's JSON result. With `--trace 1` the Chrome trace-event file is
-written to `.bench_build/traces/`.
+build. Build output goes to stderr. The program prints every metric it
+measured; the last line of stdout is the JSON result made from them: the
+`end_to_end` metrics of BENCHMARK.json with `--trace 0`, its `per_layer`
+metrics with `--trace 1` (0 for a layer the workload does not run). With
+`--trace 1` the Chrome trace-event file is written to
+`.bench_build/traces/`.
 
 Every RETRACE_* variable is removed from the environment first, so the
 program runs on its own defaults (engine, solver cache, pick, workers).
 """
 
 import argparse
+import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD_DIR = os.path.join(ROOT, ".bench_build")
-WORKLOADS = ("replay-lc", "adaptive-e5", "user-site")
+WORKLOADS = ("replay-lc", "user-site")
 BUILD_TIMEOUT_S = 840
 RUN_TIMEOUT_S = 170
 
@@ -72,20 +75,47 @@ def main():
         os.makedirs(trace_dir, exist_ok=True)
         command += ["--trace-out",
                     os.path.join(trace_dir, "%s-seed%d.json" % (args.workload, args.seed))]
-    # Own process group, so a timeout also takes down any shard children.
-    proc = subprocess.Popen(command, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
-                            start_new_session=True)
+    proc = subprocess.Popen(command, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
         proc.communicate()
         sys.exit("perfbench: %s did not finish within %d s" % (args.workload, RUN_TIMEOUT_S))
-    if proc.returncode != 0:
-        sys.stderr.write(out)
-        sys.exit("perfbench: program exited with code %d" % proc.returncode)
     sys.stdout.write(out)
+    if proc.returncode != 0:
+        sys.exit("perfbench: program exited with code %d" % proc.returncode)
+    print(json.dumps(result_line(out, args.trace)))
 
+
+def result_line(out, trace):
+    """The result object from the program's `metric` and `outcome` lines."""
+    measured, outcome = {}, None
+    for line in out.splitlines():
+        fields = line.split()
+        if fields[:1] == ["metric"] and len(fields) == 4:
+            measured[fields[1]] = (float(fields[2]), fields[3])
+        elif fields[:1] == ["outcome"] and len(fields) == 4:
+            outcome = fields[1:]
+    if outcome is None:
+        sys.exit("perfbench: the program printed no outcome line")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    listed = spec["end_to_end"] + spec["per_layer"]
+    unknown = set(measured) - {m["name"] for m in listed}
+    if unknown:
+        sys.exit("perfbench: metrics missing from BENCHMARK.json: %s" % ", ".join(sorted(unknown)))
+    metrics = {}
+    for m in spec["per_layer" if trace else "end_to_end"]:
+        # Only a per-layer metric may be absent: its layer is not run.
+        if m["name"] not in measured and not trace:
+            sys.exit("perfbench: end-to-end metric %s not measured" % m["name"])
+        value, unit = measured.get(m["name"], (0.0, m["unit"]))
+        if unit != m["unit"]:
+            sys.exit("perfbench: %s measured in %s, listed in %s" % (m["name"], unit, m["unit"]))
+        metrics[m["name"]] = {"value": value, "unit": unit}
+    return {"correct": outcome[0] == "true", "attempted": int(outcome[1]),
+            "failed": int(outcome[2]), "metrics": metrics}
 
 if __name__ == "__main__":
     main()

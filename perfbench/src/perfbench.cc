@@ -1,22 +1,23 @@
 // retrace's benchmark: both sides of the paper's balance, each on a fixed
 // amount of work.
 //
-//   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//             [--trace-out <file.json>]
+//   perfbench --workload <name> --seed <n> --seconds <s> --trace 0
+//   perfbench --workload <name> --seed <n> --seconds <s> --trace 1 --trace-out <file.json>
 //
 // Workloads (see README.md for the make-up of each):
 //   replay-lc    uServer exps 1, 3, 4 reproduced under the dynamic (lc) plan.
-//   adaptive-e5  uServer exp 5 through Pipeline::ReproduceAdaptive.
 //   user-site    analyses + dyn+static plan + the instrumented user load.
 //
 // A run does its set-up once, then repeats whole passes of the same
 // work until --seconds would be exceeded, and reports each timed step's
 // fastest time over the passes. Searches end by reproducing or by
 // spending max_runs; the wall budget is only a safety stop, and a search
-// that hits it is a failed operation. Every output is checked against facts the code under test
-// did not produce. The last stdout line is one JSON object: the
-// end-to-end metrics with --trace 0, the per-layer metrics with --trace 1
-// (from passes run with spans on, alternating with passes run without).
+// that hits it is a failed operation. Every output is checked against
+// facts the code under test did not produce. Every metric is printed as
+// a `metric <name> <value> <unit>` line and the operation counts as an
+// `outcome <correct> <attempted> <failed>` line; run.py turns them into
+// the result line. With --trace 1 the per-layer figures come from passes
+// run with spans on, alternating with passes run without.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -34,8 +35,6 @@
 #include "perfbench/src/trace.h"
 #include "src/concolic/cellrun.h"
 #include "src/instrument/syscall_log.h"
-
-extern char** environ;
 
 namespace perfbench {
 
@@ -70,8 +69,6 @@ namespace {
 constexpr u64 kReplaySeed = 31;        // ReplayConfig::seed of every search.
 constexpr int kLoadRequests = 2000;    // User-site load size.
 constexpr u64 kLcMaxRuns = 50'000;     // replay-lc per-report run budget.
-constexpr u64 kAdaptiveRoundRuns = 3000;  // adaptive-e5 per-round run budget.
-constexpr unsigned kAdaptiveRounds = 4;
 constexpr long kSafetyWallMs = 60'000;  // Safety stop only; never the planned end.
 constexpr int kMinPasses = 3;
 
@@ -176,16 +173,6 @@ InstrumentationPlan EmptyPlan(const Pipeline& pipeline) {
   return plan;
 }
 
-bool PlanContains(const InstrumentationPlan& outer, const InstrumentationPlan& inner) {
-  for (size_t id = 0; id < inner.branches.size(); ++id) {
-    if (inner.Instrumented(static_cast<retrace::i32>(id)) &&
-        !outer.Instrumented(static_cast<retrace::i32>(id))) {
-      return false;
-    }
-  }
-  return outer.branches.size() == inner.branches.size();
-}
-
 // A bug report plus what the user site observed when it was recorded.
 struct RecordedReport {
   int experiment = 0;
@@ -287,7 +274,7 @@ UserCost MeasureUserCost(CellRunner* runner, const InstrumentationPlan& plan, Ou
 }
 
 ReplayConfig SearchConfig(u64 max_runs) {
-  ReplayConfig config = ReplayConfig::FromEnv();  // RETRACE_* scrubbed: the defaults.
+  ReplayConfig config = ReplayConfig::FromEnv();  // run.py scrubs RETRACE_*: the defaults.
   config.max_runs = max_runs;
   config.seed = kReplaySeed;
   config.wall_ms = kSafetyWallMs;
@@ -363,9 +350,18 @@ double PeakRssMb() {
   return static_cast<double>(self.ru_maxrss) / 1024.0;
 }
 
+// Page faults of this process so far, for the pass log.
+long MinorFaults() {
+  rusage self{};
+  getrusage(RUSAGE_SELF, &self);
+  return self.ru_minflt;
+}
+
 // ----- Workloads -----
 //
-// Setup() runs once and is timed from process start; Pass() is one pass
+// Setup() runs once and is timed from process start: it compiles the
+// program, runs the analyses, builds the plans, records the reports and
+// measures the user-side price (MeasureUserCost) of its plans. Pass() is one pass
 // of the fixed work and returns its wall seconds; Finish() runs the
 // remaining checks and fills the metrics. A workload's pass_s is the sum
 // over the pass's timed steps of each step's fastest time over all
@@ -377,8 +373,8 @@ class Workload {
   virtual ~Workload() = default;
   virtual void Setup(Outcome* outcome) = 0;
   virtual double Pass(Outcome* outcome) = 0;
-  // `e2e` and `layer` receive the end-to-end and per-layer metrics.
-  virtual void Finish(Outcome* outcome, Metrics* e2e, Metrics* layer) = 0;
+  // Fills `metrics`, end-to-end and per-layer alike (run.py picks).
+  virtual void Finish(Outcome* outcome, Metrics* metrics) = 0;
 };
 
 // Per-report replay figures (the replay.*.expN metrics).
@@ -389,23 +385,20 @@ struct ReportFigures {
   u64 pending_peak = 0;
 };
 
-void AddReportMetrics(const std::map<int, ReportFigures>& figures, Metrics* layer) {
-  for (int exp : {1, 3, 4, 5}) {
-    const auto it = figures.find(exp);
-    const ReportFigures empty;
-    const ReportFigures& f = it == figures.end() ? empty : it->second;
+void AddReportMetrics(const std::map<int, ReportFigures>& figures, Metrics* metrics) {
+  for (const auto& [exp, f] : figures) {
     const std::string n = std::to_string(exp);
-    layer->Set("replay.runs.exp" + n, static_cast<double>(f.runs), "runs");
-    layer->Set("replay.us_per_run.exp" + n, Ratio(Best(f.seconds) * 1e6, f.runs), "us");
-    layer->Set("replay.on_log_rate.exp" + n, f.on_log_rate, "ratio");
-    layer->Set("replay.pending_peak.exp" + n, static_cast<double>(f.pending_peak), "count");
+    metrics->Set("replay.runs.exp" + n, static_cast<double>(f.runs), "runs");
+    metrics->Set("replay.us_per_run.exp" + n, Ratio(Best(f.seconds) * 1e6, f.runs), "us");
+    metrics->Set("replay.on_log_rate.exp" + n, f.on_log_rate, "ratio");
+    metrics->Set("replay.pending_peak.exp" + n, static_cast<double>(f.pending_peak), "count");
   }
 }
 
-void AddSolverMetrics(const ReplayStats& s, Metrics* layer) {
-  layer->Set("solver.calls", static_cast<double>(s.solver_calls), "count");
-  layer->Set("solver.slices_solved", static_cast<double>(s.slices_solved), "count");
-  layer->Set("solver.slice_hit_rate",
+void AddSolverMetrics(const ReplayStats& s, Metrics* metrics) {
+  metrics->Set("solver.calls", static_cast<double>(s.solver_calls), "count");
+  metrics->Set("solver.slices_solved", static_cast<double>(s.slices_solved), "count");
+  metrics->Set("solver.slice_hit_rate",
              Ratio(static_cast<double>(s.slice_sat_hits),
                    static_cast<double>(s.slice_sat_hits + s.slices_solved)),
              "ratio");
@@ -421,32 +414,29 @@ void AddStats(ReplayStats* into, const ReplayStats& s) {
 // replay-lc: exps 1, 3, 4 recorded and reproduced under the lc plan.
 class ReplayLc : public Workload {
  public:
-  explicit ReplayLc(u64 seed) : load_(SeededLoad(seed)) {
-    // The seed rotates the order the three reports are searched in.
-    const int exps[3] = {1, 3, 4};
-    for (int i = 0; i < 3; ++i) {
-      order_.push_back(exps[(i + seed) % 3]);
-    }
-  }
+  explicit ReplayLc(u64 seed) : load_(SeededLoad(seed)) {}
 
   void Setup(Outcome* outcome) override {
     pipeline_ = Compile();
     plan_ = LcPlan(pipeline_.get());
-    for (int exp : order_) {
+    for (int exp : {1, 3, 4}) {
       reports_.push_back(Record(pipeline_.get(), exp, plan_, outcome));
     }
+    CellRunner runner(pipeline_->module(), load_);
+    cost_ = MeasureUserCost(&runner, plan_, outcome, "lc plan");
   }
 
   double Pass(Outcome* outcome) override {
-    // A fresh pipeline per pass: the sequential search interns into the
-    // pipeline's arena, so reusing one would make later passes warm.
-    std::unique_ptr<Pipeline> fresh = Compile();
     double pass_s = 0.0;
     u64 runs = 0;
     ReplayStats pass_stats;
     WitnessTiming witnesses;
     for (const RecordedReport& rec : reports_) {
       GlobalTracer().NewOp();
+      // A fresh pipeline per search: a search interns into its pipeline's
+      // arena, so a shared one would make each search depend on the ones
+      // before it.
+      std::unique_ptr<Pipeline> fresh = Compile();
       const std::string label = "exp " + std::to_string(rec.experiment);
       ReplayResult r;
       const double t0 = NowSeconds();
@@ -485,148 +475,31 @@ class ReplayLc : public Workload {
     return pass_s;
   }
 
-  void Finish(Outcome* outcome, Metrics* e2e, Metrics* layer) override {
-    CellRunner runner(pipeline_->module(), load_);
-    const UserCost cost = MeasureUserCost(&runner, plan_, outcome, "lc plan");
+  void Finish(Outcome* /*outcome*/, Metrics* metrics) override {
     double reproduce_s = 0.0;
     for (const auto& [exp, f] : figures_) {
       reproduce_s += Best(f.seconds);
     }
-    e2e->Set("pass_s", reproduce_s, "s");
-    e2e->Set("us_per_op", Ratio(reproduce_s * 1e6, runs_), "us");
-    e2e->Set("modeled_cpu_pct", cost.modeled_cpu_pct, "%");
-    e2e->Set("log_bytes_per_req", cost.log_bytes_per_req, "B");
-    layer->Set("replay.runs_to_reproduce", static_cast<double>(runs_), "runs");
-    AddReportMetrics(figures_, layer);
-    AddSolverMetrics(stats_, layer);
-    layer->Set("exec.concrete_run_us", Best(concrete_us_), "us");
-    layer->Set("exec.shadow_run_us", Best(shadow_us_), "us");
-    layer->Set("instrument.logged_branches", static_cast<double>(plan_.NumInstrumented()),
+    metrics->Set("pass_s", reproduce_s, "s");
+    metrics->Set("us_per_op", Ratio(reproduce_s * 1e6, runs_), "us");
+    metrics->Set("modeled_cpu_pct", cost_.modeled_cpu_pct, "%");
+    metrics->Set("log_bytes_per_req", cost_.log_bytes_per_req, "B");
+    metrics->Set("replay.runs_to_reproduce", static_cast<double>(runs_), "runs");
+    AddReportMetrics(figures_, metrics);
+    AddSolverMetrics(stats_, metrics);
+    metrics->Set("exec.concrete_run_us", Best(concrete_us_), "us");
+    metrics->Set("exec.shadow_run_us", Best(shadow_us_), "us");
+    metrics->Set("instrument.logged_branches", static_cast<double>(plan_.NumInstrumented()),
                "count");
   }
 
  private:
   InputSpec load_;
-  std::vector<int> order_;
   std::unique_ptr<Pipeline> pipeline_;
   InstrumentationPlan plan_;
+  UserCost cost_;
   std::vector<RecordedReport> reports_;
   std::map<int, ReportFigures> figures_;
-  std::vector<double> concrete_us_;
-  std::vector<double> shadow_us_;
-  ReplayStats stats_;
-  u64 runs_ = 0;
-};
-
-// adaptive-e5: exp 5 through ReproduceAdaptive from the lc plan.
-class AdaptiveE5 : public Workload {
- public:
-  explicit AdaptiveE5(u64 seed) : load_(SeededLoad(seed)) {}
-
-  void Setup(Outcome* outcome) override {
-    pipeline_ = Compile();
-    plan_ = LcPlan(pipeline_.get());
-    report_ = Record(pipeline_.get(), 5, plan_, outcome);
-  }
-
-  double Pass(Outcome* outcome) override {
-    std::unique_ptr<Pipeline> fresh = Compile();
-    Pipeline::AdaptiveConfig config;
-    config.user_spec = report_.scenario.spec;
-    config.user_run.policy = report_.scenario.policy.get();
-    config.replay = SearchConfig(kAdaptiveRoundRuns);
-    config.max_rounds = kAdaptiveRounds;
-    Pipeline::AdaptiveResult result;
-    const double t0 = NowSeconds();
-    {
-      ScopedSpan span("replay.adaptive.exp5", "replay");
-      auto r = fresh->ReproduceAdaptive(report_.report, plan_, config);
-      outcome->Check(r.ok(),
-                     "adaptive loop runs: " + (r.ok() ? std::string() : r.error().ToString()));
-      if (r.ok()) {
-        result = r.take();
-      }
-    }
-    const double pass_s = NowSeconds() - t0;
-    double search_s = 0.0;
-    u64 runs = 0;
-    bool budget_only = true;
-    for (const Pipeline::AdaptiveRound& round : result.rounds) {
-      search_s += round.wall_seconds;
-      runs += round.runs;
-      // A round ends by reproducing or by spending its run budget.
-      budget_only = budget_only && (round.reproduced || round.runs == kAdaptiveRoundRuns);
-    }
-    outcome->Op(result.reproduced && budget_only,
-                "exp 5 reproduces adaptively, every round ending by run budget or reproduction");
-    CheckSearchAccounting(result.final_result, "exp 5 final round", outcome);
-    outcome->Check(runs_ == 0 || runs_ == runs, "exp 5: runs_to_reproduce repeats across passes");
-    runs_ = runs;
-    if (result.reproduced) {
-      const WitnessTiming w = CheckWitness(*fresh, report_, result.final_result, outcome);
-      concrete_us_.push_back(w.concrete_us);
-      shadow_us_.push_back(w.shadow_us);
-    }
-    refine_s_.push_back(pass_s - search_s);
-    for (const Pipeline::AdaptiveRound& round : result.rounds) {
-      round_s_[round.round].push_back(round.wall_seconds);
-      round_runs_[round.round] = round.runs;
-    }
-    ReportFigures& f = figures_[5];
-    f.seconds.push_back(result.final_result.wall_seconds);
-    f.runs = result.final_result.stats.runs;
-    f.on_log_rate = Ratio(static_cast<double>(result.final_result.stats.aborts_forced_direction),
-                          f.runs);
-    f.pending_peak = result.final_result.stats.pending_peak;
-    stats_ = result.final_result.stats;
-    final_plan_ = result.final_plan;
-    return pass_s;
-  }
-
-  void Finish(Outcome* outcome, Metrics* e2e, Metrics* layer) override {
-    CellRunner runner(pipeline_->module(), load_);
-    outcome->Check(PlanContains(final_plan_, plan_), "final plan contains the lc plan");
-    const UserCost cost = MeasureUserCost(&runner, final_plan_, outcome, "final plan");
-    const UserCost all = MeasureUserCost(&runner, pipeline_->MakePlan(PlanInputs::AllBranches()),
-                                         outcome, "all-branches plan");
-    outcome->Check(cost.modeled_cpu_pct <= all.modeled_cpu_pct,
-                   "final plan's modeled CPU <= all-branches plan's");
-    double search_s = 0.0;
-    for (const auto& [round, seconds] : round_s_) {
-      search_s += Best(seconds);
-    }
-    e2e->Set("pass_s", search_s + Best(refine_s_), "s");
-    e2e->Set("us_per_op", Ratio(search_s * 1e6, runs_), "us");
-    e2e->Set("modeled_cpu_pct", cost.modeled_cpu_pct, "%");
-    e2e->Set("log_bytes_per_req", cost.log_bytes_per_req, "B");
-    layer->Set("replay.runs_to_reproduce", static_cast<double>(runs_), "runs");
-    AddReportMetrics(figures_, layer);
-    AddSolverMetrics(stats_, layer);
-    for (unsigned r = 0; r < kAdaptiveRounds; ++r) {
-      const std::string n = std::to_string(r);
-      layer->Set("replay.round_runs.r" + n, static_cast<double>(round_runs_[r]), "runs");
-      layer->Set("replay.round_s.r" + n, Best(round_s_[r]), "s");
-    }
-    layer->Set("exec.concrete_run_us", Best(concrete_us_), "us");
-    layer->Set("exec.shadow_run_us", Best(shadow_us_), "us");
-    layer->Set("instrument.refine_s", Best(refine_s_), "s");
-    layer->Set("instrument.added_branches",
-               static_cast<double>(final_plan_.NumInstrumented() - plan_.NumInstrumented()),
-               "count");
-    layer->Set("instrument.logged_branches", static_cast<double>(final_plan_.NumInstrumented()),
-               "count");
-  }
-
- private:
-  InputSpec load_;
-  std::unique_ptr<Pipeline> pipeline_;
-  InstrumentationPlan plan_;
-  InstrumentationPlan final_plan_;
-  RecordedReport report_;
-  std::map<int, ReportFigures> figures_;
-  std::map<unsigned, std::vector<double>> round_s_;
-  std::map<unsigned, u64> round_runs_;
-  std::vector<double> refine_s_;
   std::vector<double> concrete_us_;
   std::vector<double> shadow_us_;
   ReplayStats stats_;
@@ -638,12 +511,18 @@ class UserSite : public Workload {
  public:
   explicit UserSite(u64 seed) : load_(SeededLoad(seed)) {}
 
-  void Setup(Outcome* /*outcome*/) override {
+  void Setup(Outcome* outcome) override {
     pipeline_ = Compile();
     plan_ = Analyze(pipeline_.get());
     // One runner for every pass: it pools engine state across runs, so
     // only the very first run pays for warming it.
     runner_ = std::make_unique<CellRunner>(pipeline_->module(), load_);
+    CellRunner* runner = runner_.get();
+    deployed_ = MeasureUserCost(runner, plan_, outcome, "deployed plan");
+    empty_ = MeasureUserCost(runner, EmptyPlan(*pipeline_), outcome, "empty plan");
+    lc_ = MeasureUserCost(runner, LcPlan(pipeline_.get()), outcome, "lc plan");
+    all_ = MeasureUserCost(runner, pipeline_->MakePlan(PlanInputs::AllBranches()), outcome,
+                           "all-branches plan");
   }
 
   double Pass(Outcome* outcome) override {
@@ -667,40 +546,35 @@ class UserSite : public Workload {
     return pass_s;
   }
 
-  void Finish(Outcome* outcome, Metrics* e2e, Metrics* layer) override {
-    CellRunner* runner = runner_.get();
-    const UserCost deployed = MeasureUserCost(runner, plan_, outcome, "deployed plan");
-    const UserCost empty = MeasureUserCost(runner, EmptyPlan(*pipeline_), outcome, "empty plan");
-    const UserCost lc = MeasureUserCost(runner, LcPlan(pipeline_.get()), outcome, "lc plan");
-    const UserCost all = MeasureUserCost(runner, pipeline_->MakePlan(PlanInputs::AllBranches()),
-                                         outcome, "all-branches plan");
-    for (const UserCost* c : {&empty, &lc, &all}) {
+  void Finish(Outcome* outcome, Metrics* metrics) override {
+    const UserCost& deployed = deployed_;
+    for (const UserCost* c : {&empty_, &lc_, &all_}) {
       outcome->Check(c->run.result.stats.instrs == deployed.run.result.stats.instrs &&
                          c->run.result.stats.branch_execs ==
                              deployed.run.result.stats.branch_execs,
                      "empty, lc, deployed and all-branches plans execute the same program");
     }
-    outcome->Check(empty.instrumented_execs == 0 && empty.run.log_bytes == 0,
+    outcome->Check(empty_.instrumented_execs == 0 && empty_.run.log_bytes == 0,
                    "the empty plan logs nothing");
-    outcome->Check(all.instrumented_execs == all.run.result.stats.branch_execs,
+    outcome->Check(all_.instrumented_execs == all_.run.result.stats.branch_execs,
                    "the all-branches plan instruments every branch execution");
     const double inst = Best(inst_s_);
     const double plain = Best(plain_s_);
-    e2e->Set("pass_s", Best(analysis_s_) + plain + inst, "s");
-    e2e->Set("us_per_op", inst * 1e6 / kLoadRequests, "us");
-    e2e->Set("modeled_cpu_pct", deployed.modeled_cpu_pct, "%");
-    e2e->Set("log_bytes_per_req", deployed.log_bytes_per_req, "B");
-    layer->Set("analysis.total_s", Best(analysis_s_), "s");
-    layer->Set("exec.user_req_per_s", Ratio(kLoadRequests, inst), "req/s");
-    layer->Set("exec.plain_mips", Ratio(static_cast<double>(instrs_), plain) / 1e6, "Minstr/s");
-    layer->Set("instrument.recorder_s", inst - plain, "s");
-    layer->Set("instrument.logged_branches", static_cast<double>(plan_.NumInstrumented()),
+    metrics->Set("pass_s", Best(analysis_s_) + plain + inst, "s");
+    metrics->Set("us_per_op", inst * 1e6 / kLoadRequests, "us");
+    metrics->Set("modeled_cpu_pct", deployed.modeled_cpu_pct, "%");
+    metrics->Set("log_bytes_per_req", deployed.log_bytes_per_req, "B");
+    metrics->Set("analysis.total_s", Best(analysis_s_), "s");
+    metrics->Set("exec.user_req_per_s", Ratio(kLoadRequests, inst), "req/s");
+    metrics->Set("exec.plain_mips", Ratio(static_cast<double>(instrs_), plain) / 1e6, "Minstr/s");
+    metrics->Set("instrument.recorder_s", inst - plain, "s");
+    metrics->Set("instrument.logged_branches", static_cast<double>(plan_.NumInstrumented()),
                "count");
-    layer->Set("instrument.logged_execs_per_req",
+    metrics->Set("instrument.logged_execs_per_req",
                static_cast<double>(deployed.instrumented_execs) / kLoadRequests, "count");
-    layer->Set("vos.syscalls_per_req",
+    metrics->Set("vos.syscalls_per_req",
                static_cast<double>(deployed.run.result.stats.syscalls) / kLoadRequests, "count");
-    layer->Set("vos.syscall_log_bytes", static_cast<double>(deployed.run.syscall_log_bytes), "B");
+    metrics->Set("vos.syscall_log_bytes", static_cast<double>(deployed.run.syscall_log_bytes), "B");
   }
 
  private:
@@ -723,6 +597,7 @@ class UserSite : public Workload {
   std::unique_ptr<Pipeline> pipeline_;
   std::unique_ptr<CellRunner> runner_;
   InstrumentationPlan plan_;
+  UserCost deployed_, empty_, lc_, all_;  // Measured in set-up.
   std::vector<double> analysis_s_;
   std::vector<double> plain_s_;
   std::vector<double> inst_s_;
@@ -731,117 +606,38 @@ class UserSite : public Workload {
 
 std::unique_ptr<Workload> MakeWorkload(const std::string& name, u64 seed) {
   if (name == "replay-lc") return std::make_unique<ReplayLc>(seed);
-  if (name == "adaptive-e5") return std::make_unique<AdaptiveE5>(seed);
   if (name == "user-site") return std::make_unique<UserSite>(seed);
   return nullptr;
 }
 
 // ----- Per-layer figures read off the traced passes' spans -----
 
-void AddSpanMetrics(const Tracer& tracer, Metrics* layer) {
+void AddSpanMetrics(const Tracer& tracer, Metrics* metrics) {
   auto mean = [&](const char* name) {
     const size_t n = tracer.Count(name);
     return n == 0 ? 0.0 : tracer.TotalSeconds(name) / static_cast<double>(n);
   };
-  layer->Set("lang.compile_s", mean("lang.compile"), "s");
-  layer->Set("concolic.explore_s", mean("concolic.explore"), "s");
-  layer->Set("analysis.static_s", mean("analysis.static"), "s");
-  layer->Set("instrument.plan_s", mean("instrument.plan"), "s");
-  layer->Set("instrument.record_s", mean("instrument.record"), "s");
+  metrics->Set("lang.compile_s", mean("lang.compile"), "s");
+  metrics->Set("concolic.explore_s", mean("concolic.explore"), "s");
+  metrics->Set("analysis.static_s", mean("analysis.static"), "s");
+  metrics->Set("instrument.plan_s", mean("instrument.plan"), "s");
+  metrics->Set("instrument.record_s", mean("instrument.record"), "s");
   const double runs = tracer.Counter("concolic.runs");
-  layer->Set("concolic.runs", Ratio(runs, tracer.Count("concolic.explore")), "runs");
-  layer->Set("concolic.us_per_run", Ratio(tracer.TotalSeconds("concolic.explore") * 1e6, runs),
+  metrics->Set("concolic.runs", Ratio(runs, tracer.Count("concolic.explore")), "runs");
+  metrics->Set("concolic.us_per_run", Ratio(tracer.TotalSeconds("concolic.explore") * 1e6, runs),
              "us");
-  layer->Set("trace.spans", static_cast<double>(tracer.spans().size()), "count");
-}
-
-// Every per-layer metric name, so each workload reports the same set
-// (0 where a workload does not exercise that layer).
-const std::vector<std::pair<std::string, std::string>>& PerLayerNames() {
-  static const std::vector<std::pair<std::string, std::string>> names = [] {
-    std::vector<std::pair<std::string, std::string>> v = {
-        {"lang.compile_s", "s"},
-        {"concolic.explore_s", "s"},
-        {"concolic.runs", "runs"},
-        {"concolic.us_per_run", "us"},
-        {"analysis.static_s", "s"},
-        {"analysis.total_s", "s"},
-        {"instrument.plan_s", "s"},
-        {"instrument.record_s", "s"},
-        {"instrument.recorder_s", "s"},
-        {"instrument.logged_branches", "count"},
-        {"instrument.logged_execs_per_req", "count"},
-        {"instrument.refine_s", "s"},
-        {"instrument.added_branches", "count"},
-        {"exec.plain_mips", "Minstr/s"},
-        {"exec.user_req_per_s", "req/s"},
-        {"exec.shadow_run_us", "us"},
-        {"exec.concrete_run_us", "us"},
-        {"solver.calls", "count"},
-        {"solver.slices_solved", "count"},
-        {"solver.slice_hit_rate", "ratio"},
-        {"replay.runs_to_reproduce", "runs"},
-    };
-    for (int exp : {1, 3, 4, 5}) {
-      const std::string n = std::to_string(exp);
-      v.push_back({"replay.runs.exp" + n, "runs"});
-      v.push_back({"replay.us_per_run.exp" + n, "us"});
-      v.push_back({"replay.on_log_rate.exp" + n, "ratio"});
-      v.push_back({"replay.pending_peak.exp" + n, "count"});
-    }
-    for (unsigned r = 0; r < kAdaptiveRounds; ++r) {
-      v.push_back({"replay.round_runs.r" + std::to_string(r), "runs"});
-      v.push_back({"replay.round_s.r" + std::to_string(r), "s"});
-    }
-    v.push_back({"vos.syscalls_per_req", "count"});
-    v.push_back({"vos.syscall_log_bytes", "B"});
-    v.push_back({"trace.spans", "count"});
-    v.push_back({"trace.overhead_pct", "%"});
-    return v;
-  }();
-  return names;
-}
-
-const char* const kEndToEnd[] = {"setup_s", "pass_s", "us_per_op", "modeled_cpu_pct",
-                                 "log_bytes_per_req", "peak_rss_mb"};
-
-// Removes every RETRACE_* variable so the program runs on its defaults.
-void ScrubEnvironment() {
-  std::vector<std::string> names;
-  for (char** e = environ; *e != nullptr; ++e) {
-    const std::string entry = *e;
-    if (entry.rfind("RETRACE_", 0) == 0) {
-      names.push_back(entry.substr(0, entry.find('=')));
-    }
-  }
-  for (const std::string& name : names) {
-    unsetenv(name.c_str());
-  }
-}
-
-void PrintJson(const Outcome& outcome, const Metrics& metrics,
-               const std::vector<std::string>& names) {
-  std::printf("{\"correct\": %s, \"attempted\": %" PRIu64 ", \"failed\": %" PRIu64
-              ", \"metrics\": {",
-              outcome.correct ? "true" : "false", outcome.attempted, outcome.failed);
-  for (size_t i = 0; i < names.size(); ++i) {
-    const Metric& m = metrics.Get(names[i]);
-    std::printf("%s\"%s\": {\"value\": %.10g, \"unit\": \"%s\"}", i == 0 ? "" : ", ",
-                names[i].c_str(), m.value, m.unit.c_str());
-  }
-  std::printf("}}\n");
+  metrics->Set("trace.spans", static_cast<double>(tracer.spans().size()), "count");
 }
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload replay-lc|adaptive-e5|user-site "
-               "--seed N --seconds S --trace 0|1 [--trace-out FILE]\n");
+               "usage: perfbench --workload replay-lc|user-site "
+               "--seed N --seconds S --trace 0 | --trace 1 --trace-out FILE\n");
   return 2;
 }
 
 int Main(int argc, char** argv) {
   NowSeconds();  // Starts the clock: set-up is timed from here.
-  ScrubEnvironment();
   std::string workload_name;
   std::string trace_out;
   u64 seed = 1;
@@ -865,7 +661,8 @@ int Main(int argc, char** argv) {
     }
   }
   std::unique_ptr<Workload> workload = MakeWorkload(workload_name, seed);
-  if (workload == nullptr || argc % 2 == 0 || !(seconds > 0.0)) {
+  if (workload == nullptr || argc % 2 == 0 || !(seconds > 0.0) ||
+      trace != !trace_out.empty()) {
     return Usage();
   }
 
@@ -896,13 +693,15 @@ int Main(int argc, char** argv) {
     tracer.set_enabled(traced);
     tracer.NewOp();
     const double cpu0 = CpuSeconds();
+    const long faults0 = MinorFaults();
     double seconds_this_pass = 0.0;
     {
       ScopedSpan span("pass." + workload_name, "bench");
       seconds_this_pass = workload->Pass(&outcome);
     }
-    std::printf("# pass %d%s: %.4f s wall, %.4f s cpu\n", pass, traced ? " (traced)" : "",
-                seconds_this_pass, CpuSeconds() - cpu0);
+    std::printf("# pass %d%s: %.4f s wall, %.4f s cpu, %ld page faults\n", pass,
+                traced ? " (traced)" : "", seconds_this_pass, CpuSeconds() - cpu0,
+                MinorFaults() - faults0);
     (traced ? traced_pass_s : pass_s).push_back(seconds_this_pass);
     const double elapsed = NowSeconds() - start;
     const int done = pass + 1;
@@ -914,39 +713,25 @@ int Main(int argc, char** argv) {
   }
   tracer.set_enabled(false);
 
-  Metrics e2e;
-  Metrics layer;
-  for (const auto& [name, unit] : PerLayerNames()) {
-    layer.Set(name, 0.0, unit);
-  }
-  e2e.Set("setup_s", setup_s, "s");
-  workload->Finish(&outcome, &e2e, &layer);
-  e2e.Set("peak_rss_mb", PeakRssMb(), "MB");
+  Metrics metrics;
+  metrics.Set("setup_s", setup_s, "s");
+  workload->Finish(&outcome, &metrics);
+  metrics.Set("peak_rss_mb", PeakRssMb(), "MB");
   if (trace) {
-    AddSpanMetrics(tracer, &layer);
-    layer.Set("trace.overhead_pct",
-              100.0 * (Best(traced_pass_s) / Best(pass_s) - 1.0), "%");
-    const std::string path =
-        trace_out.empty() ? "perfbench-" + workload_name + ".trace.json" : trace_out;
-    outcome.Check(tracer.WriteChromeTrace(path), "trace written to " + path);
-    std::printf("# trace %s (%zu spans)\n", path.c_str(), tracer.spans().size());
+    AddSpanMetrics(tracer, &metrics);
+    metrics.Set("trace.overhead_pct", 100.0 * (Best(traced_pass_s) / Best(pass_s) - 1.0), "%");
+    outcome.Check(tracer.WriteChromeTrace(trace_out), "trace written to " + trace_out);
+    std::printf("# trace %s (%zu spans)\n", trace_out.c_str(), tracer.spans().size());
   }
 
-  for (const std::string& name : e2e.order()) {
-    std::printf("metric %s %.10g %s\n", name.c_str(), e2e.Get(name).value,
-                e2e.Get(name).unit.c_str());
+  // run.py turns these lines into the result line, picking the metrics
+  // BENCHMARK.json names for the --trace mode.
+  for (const std::string& name : metrics.order()) {
+    std::printf("metric %s %.10g %s\n", name.c_str(), metrics.Get(name).value,
+                metrics.Get(name).unit.c_str());
   }
-  for (const std::string& name : layer.order()) {
-    std::printf("metric %s %.10g %s\n", name.c_str(), layer.Get(name).value,
-                layer.Get(name).unit.c_str());
-  }
-  std::vector<std::string> names;
-  if (trace) {
-    names = layer.order();
-  } else {
-    names.assign(std::begin(kEndToEnd), std::end(kEndToEnd));
-  }
-  PrintJson(outcome, trace ? layer : e2e, names);
+  std::printf("outcome %s %" PRIu64 " %" PRIu64 "\n", outcome.correct ? "true" : "false",
+              outcome.attempted, outcome.failed);
   return 0;
 }
 

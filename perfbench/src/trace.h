@@ -1,14 +1,14 @@
 // In-memory span recorder for the benchmark's traced runs.
 //
 // Spans wrap the benchmark's own calls into retrace's layers (compile,
-// analyses, plan building, recording, execution, replay, fleet): name,
+// analyses, plan building, recording, execution, replay): name,
 // layer, start, end, parent span and operation id. Nothing is written
 // while the benchmark runs; WriteChromeTrace dumps every span at the end
 // in Chrome trace-event JSON ("X" complete events), which Perfetto and
 // chrome://tracing open directly.
 //
 // Single-threaded by design: the benchmark calls into retrace from one
-// thread (worker threads and shard processes live inside the calls).
+// thread (worker threads live inside the calls).
 #ifndef PERFBENCH_TRACE_H_
 #define PERFBENCH_TRACE_H_
 
